@@ -215,10 +215,11 @@ def main(argv: list[str] | None = None) -> int:
     baseline = load_report(args.baseline) if args.baseline else None
 
     # absolute gate: the fused kernel tier must track the reference tier
-    # bit for bit, and (where a compiled backend resolved on the medium
-    # mesh) at least double its step rate.  Hosts without a C compiler or
-    # numba run the numpy fallback: recorded, warned about, never gated.
-    tiers = kernel_tier_violations(report, baseline)
+    # bit for bit, and (where the C library loaded, on the medium mesh)
+    # at least double the same-run reference step rate.  Hosts without a
+    # C compiler fall back to the reference operators: recorded, never
+    # gated.
+    tiers = kernel_tier_violations(report)
     if tiers:
         print("\nKERNEL TIER gate failures:")
         for v in tiers:

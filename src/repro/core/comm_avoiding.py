@@ -440,29 +440,32 @@ def ca_rank_program(
             first_step = False
         ctx.record_telemetry(_step + 1, xi_pre)
 
-    # ---- final smoothing (Algorithm 2 line 30): one extra exchange ----
-    # (span name distinct from the per-step pair so trace-based accounting
-    # of "halo-exchange" spans per step reads exactly 2)
-    with span("smoothing-exchange", "comm"):
-        comm.set_phase(PHASE_STENCIL)
-        ctx.halo.exchange(
-            state_fields(xi_pre), wy=STRIP,
-            wz=min(STRIP, ctx.geom.gz) or None,
-        )
-        comm.set_phase(None)
-        ctx.fill_bc(xi_pre)
-    ctx.charge(cfg.weights.smoothing, ctx._wpoints)
-    from repro.operators.smoothing import smooth_state, smooth_state_into
+    out = xi_pre
+    if cfg.nsteps:
+        # ---- final smoothing (Algorithm 2 line 30): one extra exchange ----
+        # (span name distinct from the per-step pair so trace-based
+        # accounting of "halo-exchange" spans per step reads exactly 2)
+        with span("smoothing-exchange", "comm"):
+            comm.set_phase(PHASE_STENCIL)
+            ctx.halo.exchange(
+                state_fields(xi_pre), wy=STRIP,
+                wz=min(STRIP, ctx.geom.gz) or None,
+            )
+            comm.set_phase(None)
+            ctx.fill_bc(xi_pre)
+        ctx.charge(cfg.weights.smoothing, ctx._wpoints)
+        from repro.operators.smoothing import smooth_state, smooth_state_into
 
-    if ring is not None:
-        out = smooth_state_into(
-            xi_pre, params, ring.scratch(xi_pre), ctx.ws, ctx.smoothers
-        )
-    else:
-        out = smooth_state(xi_pre, params)
-    ctx.fill_bc(out)
-    if cfg.forcing is not None:
-        cfg.forcing(out, ctx.geom, dt2)
+        if ring is not None:
+            out = smooth_state_into(
+                xi_pre, params, ring.scratch(xi_pre), ctx.ws, ctx.smoothers,
+                ctx.kernels,
+            )
+        else:
+            out = smooth_state(xi_pre, params)
+        ctx.fill_bc(out)
+        if cfg.forcing is not None:
+            cfg.forcing(out, ctx.geom, dt2)
 
     return RankResult(
         state=ctx.strip_local(out),

@@ -72,11 +72,9 @@ class DistributedConfig:
     #: run the per-rank pool-backed fast path (bit-identical numerics;
     #: ``False`` keeps the original allocating implementation)
     use_workspace: bool = True
-    #: kernel tier per rank: ``"reference"`` or ``"fused"`` (bit-identical
-    #: fused kernels with per-operator fallback; requires ``use_workspace``)
-    kernel_tier: str = "reference"
-    #: fused-kernel backend: ``"auto"``, ``"c"``, ``"numba"`` or ``"numpy"``
-    kernel_backend: str = "auto"
+    #: kernel tier per rank: ``"fused"`` (bit-identical C kernels with
+    #: per-call fallback; requires ``use_workspace``) or ``"reference"``
+    kernel_tier: str = "fused"
     #: record per-step physics-telemetry partials (local sums/maxes only —
     #: no extra communication; the driver combines them after the run)
     telemetry: bool = False
@@ -154,7 +152,7 @@ class RankContext:
         if self.ws is not None:
             from repro.kernels import kernel_set
 
-            self.kernels = kernel_set(cfg.kernel_tier, cfg.kernel_backend)
+            self.kernels = kernel_set(cfg.kernel_tier)
         self.smoothers = smoothers_for(cfg.params)
         self._vd_last: VerticalDiagnostics | None = None
         if cfg.c_method == "scan" and decomp.pz > 1:
@@ -622,19 +620,10 @@ def original_rank_program(
             # ---- smoothing (the 13th exchange already happened above) ----
             ctx.charge(cfg.weights.smoothing, ctx._wpoints)
             if ring is not None:
-                out_s = ring.scratch(psi)
-                smoothed = (
-                    ctx.kernels.smooth_state_into(
-                        psi, params, out_s, ctx.ws, ctx.smoothers
-                    )
-                    if ctx.kernels is not None
-                    else None
+                psi = smooth_state_into(
+                    psi, params, ring.scratch(psi), ctx.ws, ctx.smoothers,
+                    ctx.kernels,
                 )
-                if smoothed is None:
-                    smooth_state_into(
-                        psi, params, out_s, ctx.ws, ctx.smoothers
-                    )
-                psi = out_s
             else:
                 psi = smooth_state(psi, params)
 

@@ -123,13 +123,11 @@ class CoreConfig:
     timeout: float | None = None
     #: pool-backed fast path (bit-identical numerics; False = seed path)
     use_workspace: bool = True
-    #: kernel tier: ``"reference"`` (oracle) or ``"fused"`` (the compiled/
-    #: fused kernels of :mod:`repro.kernels`, bit-identical with
-    #: per-operator fallback).  Env override: ``REPRO_KERNEL_TIER``.
+    #: kernel tier: ``"fused"`` (default: the compiled C kernels of
+    #: :mod:`repro.kernels`, bit-identical, falling back per call to the
+    #: reference operators) or ``"reference"`` (the oracle).  Env
+    #: override: ``REPRO_KERNEL_TIER``.
     kernel_tier: str | None = None
-    #: fused-kernel backend (``"auto"``/``"c"``/``"numba"``/``"numpy"``).
-    #: Env override: ``REPRO_KERNEL_BACKEND``.
-    kernel_backend: str | None = None
     #: per-rank step executor: ``"sync"`` (the literal loop) or
     #: ``"taskgraph"`` (DAG executor overlapping compute with halo/bundle
     #: exchanges; bit-identical trajectories).  Env override:
@@ -163,22 +161,13 @@ class CoreConfig:
             )
         import os
 
-        from repro.kernels import BACKENDS, TIERS
+        from repro.kernels import TIERS
 
         if self.kernel_tier is None:
-            self.kernel_tier = os.environ.get("REPRO_KERNEL_TIER", "reference")
-        if self.kernel_backend is None:
-            self.kernel_backend = os.environ.get(
-                "REPRO_KERNEL_BACKEND", "auto"
-            )
+            self.kernel_tier = os.environ.get("REPRO_KERNEL_TIER", "fused")
         if self.kernel_tier not in TIERS:
             raise ValueError(
                 f"unknown kernel_tier {self.kernel_tier!r}; pick from {TIERS}"
-            )
-        if self.kernel_backend not in BACKENDS:
-            raise ValueError(
-                f"unknown kernel_backend {self.kernel_backend!r}; "
-                f"pick from {BACKENDS}"
             )
         if self.executor is None:
             self.executor = os.environ.get("REPRO_EXECUTOR", "sync")
@@ -188,6 +177,15 @@ class CoreConfig:
                 "pick 'sync' or 'taskgraph'"
             )
         self.observe = ObsConfig.coerce(self.observe)
+
+    @property
+    def kernel_backend(self) -> str:
+        """What runs the stencils (read-only, for run provenance):
+        ``"c"`` when the fused tier's library loads, else ``"reference"``."""
+        from repro.kernels import c_available
+
+        fused = self.kernel_tier == "fused" and self.use_workspace
+        return "c" if fused and c_available() else "reference"
 
     def resolve_decomposition(self) -> Decomposition:
         g = self.grid
@@ -372,7 +370,6 @@ class DynamicalCore:
                 forcing=cfg.forcing,
                 use_workspace=cfg.use_workspace,
                 kernel_tier=cfg.kernel_tier,
-                kernel_backend=cfg.kernel_backend,
             )
             monitor = None
             if want_telemetry:
@@ -409,7 +406,6 @@ class DynamicalCore:
             forcing=cfg.forcing,
             use_workspace=cfg.use_workspace,
             kernel_tier=cfg.kernel_tier,
-            kernel_backend=cfg.kernel_backend,
             telemetry=want_telemetry,
             executor=cfg.executor,
         )

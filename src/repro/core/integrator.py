@@ -28,7 +28,7 @@ import numpy as np
 from repro.constants import DEFAULT_PARAMETERS, ModelParameters
 from repro.core.tendencies import TendencyEngine
 from repro.core.workspace import StateRing, Workspace
-from repro.obs.spans import span, traced
+from repro.obs.spans import traced
 from repro.grid.latlon import LatLonGrid
 from repro.grid.sigma import SigmaLevels
 from repro.operators.geometry import WorkingGeometry
@@ -57,12 +57,11 @@ class SerialCore:
     #: run the pool-backed fast path (bit-identical to the allocating
     #: seed path; ``False`` keeps the original allocating implementation)
     use_workspace: bool = True
-    #: kernel tier: ``"reference"`` (the oracle) or ``"fused"`` (the
-    #: compiled/fused kernels of :mod:`repro.kernels`; bit-identical with
-    #: per-operator fallback).  Requires ``use_workspace``.
-    kernel_tier: str = "reference"
-    #: fused-kernel backend: ``"auto"``, ``"c"``, ``"numba"`` or ``"numpy"``
-    kernel_backend: str = "auto"
+    #: kernel tier: ``"fused"`` (the compiled C kernels of
+    #: :mod:`repro.kernels`; bit-identical with per-call fallback to the
+    #: reference operators) or ``"reference"`` (the oracle).  Requires
+    #: ``use_workspace``.
+    kernel_tier: str = "fused"
 
     engine: TendencyEngine = field(init=False, repr=False)
     c_calls: int = field(init=False, default=0)
@@ -79,7 +78,7 @@ class SerialCore:
         if self.ws is not None:
             from repro.kernels import kernel_set
 
-            self.kernels = kernel_set(self.kernel_tier, self.kernel_backend)
+            self.kernels = kernel_set(self.kernel_tier)
         self.engine = TendencyEngine(
             geom, self.params, ws=self.ws, kernels=self.kernels
         )
@@ -216,18 +215,10 @@ class SerialCore:
         )
         eng.fill_physical_ghosts(zeta3)
 
-        out = ring.scratch(zeta3)
-        smoothed = (
-            self.kernels.smooth_state_into(
-                zeta3, self.params, out, self.ws, self._smoothers
-            )
-            if self.kernels is not None
-            else None
+        out = smooth_state_into(
+            zeta3, self.params, ring.scratch(zeta3), self.ws,
+            self._smoothers, self.kernels,
         )
-        if smoothed is None:
-            smooth_state_into(
-                zeta3, self.params, out, self.ws, self._smoothers
-            )
         eng.fill_physical_ghosts(out)
 
         if self.forcing is not None:

@@ -27,6 +27,7 @@ from repro.core.taskgraph import GraphExecutor, TaskGraph
 from repro.core.taskgraph.subdomain import RowSlab
 from repro.core.workspace import StateRing
 from repro.obs.spans import span
+from repro.operators.smoothing import smooth_state_into
 from repro.state.variables import ModelState
 
 
@@ -354,23 +355,24 @@ def ca_rank_program_taskgraph(comm, cfg, initial: ModelState) -> RankResult:
             first_step = False
         ctx.record_telemetry(_step + 1, xi_pre)
 
-    # ---- final smoothing (Algorithm 2 line 30): one extra exchange ----
-    with span("smoothing-exchange", "comm"):
-        comm.set_phase(PHASE_STENCIL)
-        ctx.halo.exchange(
-            _fields(xi_pre), wy=strip, wz=min(strip, ctx.geom.gz) or None
+    out = xi_pre
+    if cfg.nsteps:
+        # ---- final smoothing (Algorithm 2 line 30): one extra exchange ----
+        with span("smoothing-exchange", "comm"):
+            comm.set_phase(PHASE_STENCIL)
+            ctx.halo.exchange(
+                _fields(xi_pre), wy=strip, wz=min(strip, ctx.geom.gz) or None
+            )
+            comm.set_phase(None)
+            ctx.fill_bc(xi_pre)
+        ctx.charge(cfg.weights.smoothing, ctx._wpoints)
+        out = smooth_state_into(
+            xi_pre, params, ring.scratch(xi_pre), ctx.ws, ctx.smoothers,
+            ctx.kernels,
         )
-        comm.set_phase(None)
-        ctx.fill_bc(xi_pre)
-    ctx.charge(cfg.weights.smoothing, ctx._wpoints)
-    from repro.operators.smoothing import smooth_state_into
-
-    out = smooth_state_into(
-        xi_pre, params, ring.scratch(xi_pre), ctx.ws, ctx.smoothers
-    )
-    ctx.fill_bc(out)
-    if cfg.forcing is not None:
-        cfg.forcing(out, ctx.geom, dt2)
+        ctx.fill_bc(out)
+        if cfg.forcing is not None:
+            cfg.forcing(out, ctx.geom, dt2)
 
     return RankResult(
         state=ctx.strip_local(out),

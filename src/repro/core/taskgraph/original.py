@@ -28,6 +28,7 @@ from repro.core.taskgraph import GraphExecutor, TaskGraph
 from repro.core.taskgraph.subdomain import RowSlab
 from repro.core.workspace import StateRing
 from repro.obs.spans import span
+from repro.operators.smoothing import smooth_state_into
 from repro.state.variables import ModelState
 
 
@@ -240,19 +241,9 @@ def original_rank_program_taskgraph(comm, cfg, initial: ModelState) -> RankResul
 
                 def smooth_full(xi=xi, out_s=out_s):
                     ctx.charge(W.smoothing, ctx._wpoints)
-                    got = (
-                        ctx.kernels.smooth_state_into(
-                            xi, params, out_s, ctx.ws, ctx.smoothers
-                        )
-                        if ctx.kernels is not None
-                        else None
+                    smooth_state_into(
+                        xi, params, out_s, ctx.ws, ctx.smoothers, ctx.kernels
                     )
-                    if got is None:
-                        from repro.operators.smoothing import smooth_state_into
-
-                        smooth_state_into(
-                            xi, params, out_s, ctx.ws, ctx.smoothers
-                        )
 
                 t_prev = gr.add("smooth", smooth_full, deps=dep())
                 psi = out_s

@@ -1,25 +1,17 @@
-"""Opt-in fused/compiled kernel tier for the stencil hot path.
+"""The fused C kernel tier for the stencil hot path (the default).
 
 ``kernel_tier="fused"`` routes the smoothing, advection, adaptation, and
-vertical-diagnostic operators through single fused passes (compiled C via
-ctypes, numba-JITted loops, or fused numpy over wrap-padded pooled
-buffers) that reproduce the reference tier bit for bit.  The reference
-implementations in :mod:`repro.operators` stay the oracle; every fused
-path falls back to them transparently when it cannot handle a call.
+vertical-diagnostic operators through single compiled C passes (built
+with the system compiler, driven via ctypes) that reproduce the
+reference tier bit for bit.  The reference implementations in
+:mod:`repro.operators` stay the oracle and the fallback: without a C
+compiler, or for a call outside C's coverage, they run instead.
 
 See ``docs/kernels.md`` for the tier system, the atomic-stage
 decomposition, and the exactness guarantees.
 """
 from repro.kernels.cbackend import c_available
-from repro.kernels.dispatch import (
-    BACKENDS,
-    TIERS,
-    KernelSet,
-    available_backends,
-    kernel_set,
-    resolve_backend,
-)
-from repro.kernels.numba_backend import numba_available
+from repro.kernels.dispatch import TIERS, KernelSet, kernel_set
 from repro.kernels.plans import (
     KernelPlan,
     clear_plan_cache,
@@ -29,16 +21,13 @@ from repro.kernels.plans import (
 )
 
 __all__ = [
-    "BACKENDS",
     "TIERS",
     "KernelPlan",
     "KernelSet",
-    "available_backends",
     "c_available",
     "clear_plan_cache",
     "kernel_plan",
     "kernel_set",
-    "numba_available",
     "plan_cache_stats",
     "registered_plans",
 ]

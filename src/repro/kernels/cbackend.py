@@ -6,7 +6,9 @@ path (sha256 of source + flags), written with an atomic rename so
 concurrent ranks / process-backend children race safely.  No third-party
 packages are involved: ``cc``/``gcc`` + ``ctypes`` only.  When no working
 compiler exists, :func:`load_library` raises :class:`KernelBuildError` and
-the dispatch layer falls back to the next backend.
+the dispatch layer falls back to the reference operators.  Callers that
+fork (the process SPMD backend, the job server) load the library first,
+so their children inherit it instead of each compiling their own.
 
 ``-ffp-contract=off`` is mandatory: FMA contraction would change rounding
 and break the bit-identity contract with the reference tier.  The first
@@ -117,7 +119,7 @@ def load_library() -> ctypes.CDLL:
 
 
 def c_available() -> bool:
-    """Whether the C backend can be (or already was) built."""
+    """Whether the C library can be (or already was) built and loaded."""
     try:
         load_library()
         return True

@@ -1,17 +1,15 @@
-"""Kernel-tier dispatch: resolve a backend and route operator calls.
+"""Kernel-tier dispatch: route operator calls to the fused C kernels.
 
 A :class:`KernelSet` is the object the tendency engine and the integrator
-consult when ``kernel_tier="fused"``.  Each operator method either handles
-the call with a fused kernel and returns the result, or returns ``None`` —
-in which case the caller runs the reference workspace path.  Fallback is
-therefore always transparent and per-operator: a missing compiler, a
-non-contiguous working array, or an unsupported decomposition never
+consult on the ``"fused"`` tier (the default).  It exists only when the
+compiled C library loaded: :func:`kernel_set` returns ``None`` — after
+one warning per process — when no compiler resolves, and every caller
+then runs the reference workspace operators.  Each operator method
+either handles the call with a fused kernel and returns the result, or
+returns ``None`` (a non-contiguous working array, or a call outside C's
+coverage such as the z-gathered ``C`` path), in which case the caller
+runs the reference path for that call.  Fallback therefore never
 changes results, only speed.
-
-Backend resolution (``backend="auto"``): the compiled C backend when a
-system compiler is available, else numba (smoothing only), else the fused
-numpy passes (smoothing only).  The C backend covers all four operators;
-the equivalence tests pin each backend explicitly.
 
 Every fused call is wrapped in a ``repro.obs`` span with category
 ``"kernel"`` so kernel-level timings appear next to the operator spans in
@@ -25,20 +23,11 @@ import numpy as np
 
 from repro import constants
 from repro.kernels import cbackend
-from repro.kernels.numba_backend import numba_available, smooth_full_numba
 from repro.kernels.plans import KernelPlan, kernel_plan
-from repro.kernels.stages import smoother_stages, smooth_field_fused_numpy
+from repro.kernels.stages import smoother_stages
 from repro.obs.spans import span
 
 TIERS = ("reference", "fused")
-BACKENDS = ("auto", "c", "numba", "numpy")
-
-#: Operators each backend can fuse.  Everything else falls back.
-_COVERAGE = {
-    "c": ("smoothing", "advection", "adaptation", "vertical"),
-    "numba": ("smoothing",),
-    "numpy": ("smoothing",),
-}
 
 _STAGES = {
     "advection": ("l1_zonal", "l2_meridional", "l3_vertical", "negate"),
@@ -52,33 +41,8 @@ _STAGES = {
     ),
 }
 
-_WARNED: set[str] = set()
-
-
-def _warn_once(key: str, message: str) -> None:
-    if key not in _WARNED:
-        _WARNED.add(key)
-        warnings.warn(message, RuntimeWarning, stacklevel=3)
-
-
-def available_backends() -> list[str]:
-    """Fused backends usable in this environment (ordered by preference)."""
-    out = []
-    if cbackend.c_available():
-        out.append("c")
-    if numba_available():
-        out.append("numba")
-    out.append("numpy")
-    return out
-
-
-def resolve_backend(backend: str = "auto") -> str:
-    """Map a requested backend to a concrete one (may still lack coverage)."""
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown kernel backend {backend!r}; use {BACKENDS}")
-    if backend != "auto":
-        return backend
-    return available_backends()[0]
+#: whether this process already warned that the C library is unavailable
+_warned = False
 
 
 def _ok(*arrays: np.ndarray) -> bool:
@@ -88,52 +52,20 @@ def _ok(*arrays: np.ndarray) -> bool:
 
 
 class KernelSet:
-    """One resolved kernel tier: fused entry points with fallback.
+    """The fused C kernels over one loaded library, with per-call fallback."""
 
-    ``exact=True`` (the default) means every fused path must be
-    bit-identical to the reference tier — which all shipped backends are;
-    the flag is threaded so the equivalence harness can state the
-    guarantee it asserts.
-    """
+    tier = "fused"
 
-    def __init__(
-        self, tier: str = "fused", backend: str = "auto", exact: bool = True
-    ) -> None:
-        if tier not in TIERS:
-            raise ValueError(f"unknown kernel tier {tier!r}; use {TIERS}")
-        self.tier = tier
-        self.requested_backend = backend
-        self.backend = resolve_backend(backend)
-        self.exact = exact
-        self._lib = None
-
-    # ---- backend plumbing -------------------------------------------------
-
-    def _covers(self, op: str) -> bool:
-        return op in _COVERAGE.get(self.backend, ())
-
-    def _library(self):
-        """The C library, or ``None`` (with a one-shot warning) if unbuildable."""
-        if self._lib is None:
-            try:
-                self._lib = cbackend.load_library()
-            except cbackend.KernelBuildError as exc:
-                _warn_once(
-                    "c-build",
-                    f"fused C kernels unavailable ({exc}); falling back",
-                )
-                self._lib = False
-        return self._lib or None
+    def __init__(self, lib) -> None:
+        self._lib = lib
 
     def _register(self, op: str, shape: tuple, stages: tuple, extra=()) -> KernelPlan:
         return kernel_plan(
             op,
-            self.backend,
             shape,
             extra,
             lambda: KernelPlan(
                 op=op,
-                backend=self.backend,
                 shape=tuple(shape),
                 stages=stages,
                 fn=getattr(self, op if op != "smoothing" else "smooth_field"),
@@ -144,34 +76,22 @@ class KernelSet:
 
     def smooth_field(self, sm, a: np.ndarray, out: np.ndarray, ws):
         """Fused smoothing of one field; ``None`` if this call can't fuse."""
-        if not self._covers("smoothing") or not _ok(a, out):
+        if not _ok(a, out):
             return None
         self._register(
             "smoothing", a.shape, smoother_stages(sm),
             (sm.beta_x, sm.beta_y, sm.cross),
         )
-        if self.backend == "c":
-            lib = self._library()
-            if lib is None:
-                return None
-            scratch = ws.take(a.shape)
-            cbackend.smooth_full_c(
-                lib, a, out, scratch, sm.beta_x, sm.beta_y, sm.cross
-            )
-            ws.give(scratch)
-            return out
-        if self.backend == "numba":
-            scratch = ws.take(a.shape)
-            smooth_full_numba(a, out, scratch, sm.beta_x, sm.beta_y, sm.cross)
-            ws.give(scratch)
-            return out
-        return smooth_field_fused_numpy(sm, a, out, ws)
+        scratch = ws.take(a.shape)
+        cbackend.smooth_full_c(
+            self._lib, a, out, scratch, sm.beta_x, sm.beta_y, sm.cross
+        )
+        ws.give(scratch)
+        return out
 
-    def smooth_state_into(self, state, params, out, ws, smoothers):
+    def smooth_state_into(self, state, out, ws, smoothers):
         """Fused ``S`` over a whole state; ``None`` to fall back."""
-        if not self._covers("smoothing"):
-            return None
-        with span(f"smoothing-fused[{self.backend}]", "kernel"):
+        with span("smoothing-fused[c]", "kernel"):
             for name in ("U", "V", "Phi", "psa"):
                 res = self.smooth_field(
                     smoothers[name], getattr(state, name), getattr(out, name), ws
@@ -180,7 +100,7 @@ class KernelSet:
                     return None
             return out
 
-    # ---- the stencil tendencies (C backend only) --------------------------
+    # ---- the stencil tendencies -------------------------------------------
 
     def _pf_into(self, psa: np.ndarray, pf: np.ndarray) -> np.ndarray:
         """``P`` with the exact reference op chain (and its guard)."""
@@ -196,17 +116,12 @@ class KernelSet:
 
     def advection(self, state, vd, geom, ws, out, cache):
         """Fused ``L``-tendency; ``None`` if this call can't fuse."""
-        if not self._covers("advection"):
-            return None
         U, V, Phi = state.U, state.V, state.Phi
         sdot = vd.sdot_iface
         if not _ok(U, V, Phi, state.psa, sdot, out.U, out.V, out.Phi):
             return None
-        lib = self._library()
-        if lib is None:
-            return None
         kg = self._advec_kgeom(geom, cache)
-        with span(f"advection-fused[{self.backend}]", "kernel"):
+        with span("advection-fused[c]", "kernel"):
             self._register("advection", U.shape, _STAGES["advection"])
             nz, ny, nx = U.shape
             pf = self._pf_into(state.psa, ws.take(state.psa.shape))
@@ -219,7 +134,7 @@ class KernelSet:
                 "p2d": ws.take((3, ny, nx)),
             }
             cbackend.advection_c(
-                lib, U, V, Phi, pf, sdot, kg.advection, kg.advection_dsig,
+                self._lib, U, V, Phi, pf, sdot, kg.advection, kg.advection_dsig,
                 geom.grid.dlambda, geom.grid.dtheta, scratch,
                 out.U, out.V, out.Phi,
             )
@@ -243,22 +158,17 @@ class KernelSet:
 
     def adaptation(self, state, vd, geom, params, ws, out, cache):
         """Fused ``A-hat``-tendency; ``None`` if this call can't fuse."""
-        if not self._covers("adaptation"):
-            return None
         U, V, Phi, psa = state.U, state.V, state.Phi, state.psa
         phi_p = vd.phi_prime
         w_if = vd.w_iface
         col_sum = vd.column_sum
         if not _ok(U, V, Phi, psa, phi_p, w_if, col_sum, out.U, out.V, out.Phi):
             return None
-        lib = self._library()
-        if lib is None:
-            return None
         from repro.operators.adaptation import surface_dissipation
         from repro.operators.vertical import DEFAULT_REFERENCE
 
         kg = self._adapt_kgeom(cache)
-        with span(f"adaptation-fused[{self.backend}]", "kernel"):
+        with span("adaptation-fused[c]", "kernel"):
             self._register("adaptation", U.shape, _STAGES["adaptation"])
             pf = self._pf_into(psa, ws.take(psa.shape))
             pes = ws.take(psa.shape)
@@ -275,7 +185,7 @@ class KernelSet:
             np.multiply(baro, t_ref_surf, out=baro)
             b = constants.B_GRAVITY_WAVE
             cbackend.adaptation_c(
-                lib, U, V, Phi, phi_p, w_if, col_sum, pf, pes, baro,
+                self._lib, U, V, Phi, phi_p, w_if, col_sum, pf, pes, baro,
                 kg.adaptation, geom.grid.radius,
                 geom.grid.dlambda, geom.grid.dtheta,
                 b, b * (1.0 + params.delta_c),
@@ -311,8 +221,6 @@ class KernelSet:
         levels, identity interface and level maps); everything else runs
         the reference workspace path.
         """
-        if not self._covers("vertical"):
-            return None
         nz = geom.grid.nz
         if (
             gather is not None
@@ -324,13 +232,10 @@ class KernelSet:
             return None
         if not _ok(U, V, Phi, psa):
             return None
-        lib = self._library()
-        if lib is None:
-            return None
         from repro.operators.vertical import VerticalDiagnostics
 
         kg = self._vert_kgeom(geom, cache)
-        with span(f"vertical-fused[{self.backend}]", "kernel"):
+        with span("vertical-fused[c]", "kernel"):
             self._register("vertical", U.shape, _STAGES["vertical"])
             ny_w, nx_w = psa.shape
             pf = self._pf_into(psa, ws.take((ny_w, nx_w)))
@@ -342,7 +247,7 @@ class KernelSet:
             phi_prime = ws.take((nz, ny_w, nx_w))
             s2d = ws.take((3, ny_w, nx_w))
             cbackend.vertical_c(
-                lib, U, V, Phi, pf, kg.vertical,
+                self._lib, U, V, Phi, pf, kg.vertical,
                 geom.grid.dlambda, geom.grid.dtheta,
                 constants.B_GRAVITY_WAVE,
                 div_p, col_sum, pw, w, sdot, phi_prime, s2d,
@@ -376,10 +281,8 @@ class KernelSet:
         """Summary for traces / bench reports."""
         return {
             "tier": self.tier,
-            "backend": self.backend,
-            "requested_backend": self.requested_backend,
-            "exact": self.exact,
-            "coverage": list(_COVERAGE.get(self.backend, ())),
+            "backend": "c",
+            "coverage": ["smoothing", "advection", "adaptation", "vertical"],
         }
 
 
@@ -391,12 +294,23 @@ def _flat(a) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(a, dtype=np.float64).ravel())
 
 
-def kernel_set(
-    tier: str = "reference", backend: str = "auto", exact: bool = True
-) -> KernelSet | None:
-    """Build the kernel set for a tier (``None`` for the reference tier)."""
+def kernel_set(tier: str = "fused") -> KernelSet | None:
+    """The kernel set for a tier: ``None`` for the reference tier, and for
+    the fused tier when the C library cannot be built (warned once)."""
     if tier not in TIERS:
         raise ValueError(f"unknown kernel tier {tier!r}; use {TIERS}")
     if tier == "reference":
         return None
-    return KernelSet(tier=tier, backend=backend, exact=exact)
+    global _warned
+    try:
+        return KernelSet(cbackend.load_library())
+    except cbackend.KernelBuildError as exc:
+        if not _warned:
+            _warned = True
+            warnings.warn(
+                f"fused C kernels unavailable ({exc}); "
+                "running the reference operators",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        return None

@@ -22,21 +22,18 @@ class KernelPlan:
     op:
         Operator name (``smoothing``/``advection``/``adaptation``/
         ``vertical``).
-    backend:
-        Resolved backend (``c``/``numba``/``numpy``).
     shape:
         Working-array shape the plan was built for.
     stages:
         Names of the atomic stages the fused pass merges, in application
         order (introspected by the stage-algebra property tests).
     fn:
-        The fused entry point (backend-specific signature).
+        The fused entry point.
     meta:
-        Backend-specific extras (scratch shapes, ctypes handles, ...).
+        Plan-specific extras (scratch shapes, ctypes handles, ...).
     """
 
     op: str
-    backend: str
     shape: tuple[int, ...]
     stages: tuple[str, ...]
     fn: Callable = field(compare=False)
@@ -49,13 +46,12 @@ _PLAN_STATS = {"hits": 0, "misses": 0}
 
 def kernel_plan(
     op: str,
-    backend: str,
     shape: tuple[int, ...],
     key_extra: tuple,
     build: Callable[[], KernelPlan],
 ) -> KernelPlan:
-    """Memoised plan lookup: build once per (op, backend, shape, extras)."""
-    key = (op, backend, tuple(shape), key_extra)
+    """Memoised plan lookup: build once per (op, shape, extras)."""
+    key = (op, tuple(shape), key_extra)
     cached = _PLAN_CACHE.get(key)
     if cached is not None:
         _PLAN_STATS["hits"] += 1

@@ -1,20 +1,15 @@
-"""Atomic-stage decomposition of the stencil smoothers + numpy fusion.
+"""Atomic-stage decomposition of the stencil smoothers.
 
 Following "Decomposition of stencil update formula into atomic stages"
 (Wang 2016), each wide smoothing stencil is split into *atomic stages* —
 the per-offset 4th-difference contributions and the scalar scale/combine
-steps — which are then fused into single vectorized passes over pooled
-:class:`~repro.core.workspace.Workspace` buffers.
-
-The numpy fusion eliminates the materialized ``np.roll`` copies of the
-reference path: each field is written once into a wrap-padded pooled
-buffer, after which every shifted operand is a free *view*.  The
-element-wise binary-operation sequence is kept identical to
+steps — which the C ``smooth_full`` kernel fuses into one pass with the
+element-wise binary-operation sequence of
 :meth:`repro.operators.smoothing.FieldSmoother.full_into`, so the fused
 pass is bit-identical to the reference tier.
 
 :func:`apply_stages_sequential` applies the same atomic stages one by one
-(the unfused schedule); the property tests assert the fused pass agrees
+(the unfused schedule); the property tests assert the fused C pass agrees
 with it (and exactly with the reference) on every registered plan shape.
 """
 from __future__ import annotations
@@ -22,9 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.operators.smoothing import OFFSETS_FULL, FieldSmoother
-
-#: wrap-pad width: the smoother radius
-PAD = 2
 
 
 def smoother_stages(sm: FieldSmoother) -> tuple[str, ...]:
@@ -41,103 +33,7 @@ def apply_stages_sequential(sm: FieldSmoother, a: np.ndarray) -> np.ndarray:
     """The unfused schedule: sum the per-offset atomic stages one by one.
 
     Algebraically identical to :meth:`FieldSmoother.full`; floating-point
-    reassociation across stages means agreement is to rounding, not bits —
-    exactly the distinction the exactness flag of the equivalence harness
-    documents.
+    reassociation across stages means agreement is to rounding, not bits
+    (the fused pass, unlike this schedule, equals the reference bitwise).
     """
     return sm.partial(a, OFFSETS_FULL)
-
-
-def fill_wrap_pad(a: np.ndarray, pad: np.ndarray) -> np.ndarray:
-    """Write ``a`` into the interior of ``pad`` with wrap-around margins.
-
-    ``pad`` has ``2 * PAD`` extra entries on the last two axes; after the
-    fill, ``shifted_view(pad, dy, dx)`` equals ``sy(sx(a, dx), dy)`` for
-    ``|dy|, |dx| <= PAD`` (corners are never read by the separable
-    stencils, so they stay unfilled).
-    """
-    pad[..., PAD:-PAD, PAD:-PAD] = a
-    pad[..., :PAD, PAD:-PAD] = a[..., -PAD:, :]
-    pad[..., -PAD:, PAD:-PAD] = a[..., :PAD, :]
-    pad[..., PAD:-PAD, :PAD] = a[..., :, -PAD:]
-    pad[..., PAD:-PAD, -PAD:] = a[..., :, :PAD]
-    return pad
-
-
-def shifted_view(pad: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    """View of the padded buffer equal to ``sy(sx(a, dx), dy)``."""
-    ny = pad.shape[-2] - 2 * PAD
-    nx = pad.shape[-1] - 2 * PAD
-    return pad[
-        ..., PAD + dy: PAD + dy + ny, PAD + dx: PAD + dx + nx
-    ]
-
-
-def _delta4_views(views, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """``delta4`` over five pre-shifted operand views.
-
-    Same element-wise binary-operation sequence as
-    :func:`repro.operators.smoothing._delta4_into` — only the shift copies
-    are replaced by views — hence bit-identical.
-    """
-    m2, m1, c0, p1, p2 = views
-    np.multiply(m1, 4.0, out=tmp)
-    np.subtract(m2, tmp, out=out)
-    np.multiply(c0, 6.0, out=tmp)
-    np.add(out, tmp, out=out)
-    np.multiply(p1, 4.0, out=tmp)
-    np.subtract(out, tmp, out=out)
-    np.add(out, p2, out=out)
-    return out
-
-
-def smooth_field_fused_numpy(
-    sm: FieldSmoother, a: np.ndarray, out: np.ndarray, ws
-) -> np.ndarray:
-    """Fused numpy smoothing pass, bit-identical to ``sm.full_into``.
-
-    One wrap-padded write of ``a`` makes every shift a view; the delta4
-    stages then run with zero shift copies.  The cross term pads the
-    ``delta4_x`` intermediate in y the same way.
-    """
-    pshape = a.shape[:-2] + (a.shape[-2] + 2 * PAD, a.shape[-1] + 2 * PAD)
-    pad = ws.take(pshape)
-    fill_wrap_pad(a, pad)
-    a_view = shifted_view(pad, 0, 0)
-    tmp = ws.take(a.shape)
-    t2 = ws.take(a.shape)
-
-    # dx4 lands in a y-padded buffer when the cross term will y-shift it
-    dxp = None
-    if sm.cross:
-        dxp = ws.take(a.shape[:-2] + (a.shape[-2] + 2 * PAD, a.shape[-1]))
-        dx = dxp[..., PAD:-PAD, :]
-    else:
-        dxp_plain = ws.take(a.shape)
-        dx = dxp_plain
-    _delta4_views(
-        [shifted_view(pad, 0, d) for d in (-2, -1, 0, 1, 2)], dx, tmp
-    )
-    np.multiply(dx, sm.beta_x / 16.0, out=out)
-    np.subtract(a_view, out, out=out)
-    if sm.beta_y:
-        _delta4_views(
-            [shifted_view(pad, d, 0) for d in (-2, -1, 0, 1, 2)], t2, tmp
-        )
-        np.multiply(t2, sm.beta_y / 16.0, out=t2)
-        np.subtract(out, t2, out=out)
-    if sm.cross:
-        dxp[..., :PAD, :] = dx[..., -PAD:, :]
-        dxp[..., -PAD:, :] = dx[..., :PAD, :]
-        ny = a.shape[-2]
-        _delta4_views(
-            [dxp[..., PAD + d: PAD + d + ny, :] for d in (-2, -1, 0, 1, 2)],
-            t2, tmp,
-        )
-        np.multiply(t2, sm.beta_x * sm.beta_y / 256.0, out=t2)
-        np.add(out, t2, out=out)
-    if sm.cross:
-        ws.give(pad, tmp, t2, dxp)
-    else:
-        ws.give(pad, tmp, t2, dxp_plain)
-    return out

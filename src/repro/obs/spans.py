@@ -50,8 +50,10 @@ import dataclasses
 import functools
 import itertools
 import os
+import pickle
 import threading
 import time
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -209,6 +211,27 @@ class _ThreadBuf:
         self.stack: list[int] = []  # open span ids, innermost last
 
 
+class _PackedBuf:
+    """An absorbed span batch, kept pickled and zlib-compressed.
+
+    A long-lived tracer (the job server's) absorbs hundreds of spans per
+    job; held as live objects they cost a few hundred bytes each for as
+    long as the tracer lives.  Packed, a span costs tens of bytes and is
+    decoded only when :attr:`SpanTracer.spans` is read.
+    """
+
+    __slots__ = ("_blob",)
+
+    def __init__(self, spans: list[Span]) -> None:
+        self._blob = zlib.compress(
+            pickle.dumps(spans, pickle.HIGHEST_PROTOCOL), 1
+        )
+
+    @property
+    def spans(self) -> list[Span]:
+        return pickle.loads(zlib.decompress(self._blob))
+
+
 class _LiveSpan:
     """An open span; closes (and records) on ``__exit__``."""
 
@@ -267,7 +290,7 @@ class SpanTracer:
         self.epoch = time.perf_counter()
         self.trace_id = new_trace_id()
         self._lock = threading.Lock()
-        self._bufs: list[_ThreadBuf] = []
+        self._bufs: list[_ThreadBuf | _PackedBuf] = []
         self._tls = threading.local()
 
     def _thread_buf(self) -> _ThreadBuf:
@@ -317,7 +340,8 @@ class SpanTracer:
         (sharing this tracer's epoch, since ``perf_counter`` is
         system-wide on the platforms we run on) and ships its spans back
         at join; absorbing them here keeps span counts and per-rank
-        lanes identical to the thread backend.
+        lanes identical to the thread backend.  The batch is stored
+        packed (see :class:`_PackedBuf`) and decoded on read.
 
         ``trace_id``/``parent_id`` sew the causal tree across the
         process boundary: the absorbed process's *root* spans
@@ -340,8 +364,7 @@ class SpanTracer:
             if parent_id is not None and s.parent_id == 0:
                 patch["parent_id"] = parent_id
             merged.append(dataclasses.replace(s, **patch) if patch else s)
-        buf = _ThreadBuf()
-        buf.spans = merged
+        buf = _PackedBuf(merged)
         with self._lock:
             self._bufs.append(buf)
 

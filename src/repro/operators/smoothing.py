@@ -232,13 +232,20 @@ def smooth_state_into(
     out: ModelState,
     ws,
     smoothers: dict[str, FieldSmoother] | None = None,
+    kernels=None,
 ) -> ModelState:
     """Allocation-free :func:`smooth_state` into ``out`` (bit-identical).
 
     ``out`` must not alias ``state`` (the smoother stencils read
-    neighbours of every point they write).
+    neighbours of every point they write).  ``kernels`` (a
+    :class:`repro.kernels.KernelSet`) runs the fused C pass instead,
+    falling back here when it cannot handle the call.
     """
     sm = smoothers or smoothers_for(params)
+    if kernels is not None and kernels.smooth_state_into(
+        state, out, ws, sm
+    ) is not None:
+        return out
     sm["U"].full_into(state.U, out.U, ws)
     sm["V"].full_into(state.V, out.V, ws)
     sm["Phi"].full_into(state.Phi, out.Phi, ws)

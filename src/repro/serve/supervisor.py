@@ -43,6 +43,7 @@ from collections import deque
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from repro.kernels.cbackend import c_available
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import (
     SpanTracer,
@@ -274,6 +275,10 @@ class JobServer:
             except (ImportError, ValueError) as exc:
                 self._degrade(f"fork context unavailable: {exc!r}")
 
+        if self._ctx is not None:
+            # forked workers inherit the loaded kernel library instead of
+            # each compiling their own on a cold cache
+            c_available()
         self._workers = {
             slot: _Worker(slot) for slot in range(config.workers)
         }

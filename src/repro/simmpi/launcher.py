@@ -487,7 +487,12 @@ def _run_spmd_process(
     """
     from multiprocessing.connection import wait as conn_wait
 
+    from repro.kernels.cbackend import c_available
     from repro.simmpi.shm import ShmWorld, sweep_stale_segments
+
+    # build/load the kernel library before forking: the ranks inherit it
+    # instead of each compiling their own on a cold cache
+    c_available()
 
     world = ShmWorld(
         nranks, machine,

@@ -88,3 +88,21 @@ class TestRuns:
         ).run(state0, 3)
         assert diag.exchanges == 2 * 3
         assert diag.c_calls == 2 * params.m_iterations * 3 + 1
+
+    @pytest.mark.parametrize("executor", ["sync", "taskgraph"])
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize(
+        "alg", ["serial", "original-yz", "original-xy", "original-3d", "ca"]
+    )
+    def test_zero_steps_return_the_input(self, setting, alg, backend, executor):
+        """``run(s, 0)`` takes no step, so it applies no smoothing or
+        forcing either: the output is the input, bit for bit."""
+        from repro.serve import state_digest
+
+        grid, params, state0 = setting
+        out, _ = DynamicalCore(
+            grid, algorithm=alg, nprocs=1 if alg == "serial" else 4,
+            params=params, forcing=HeldSuarezForcing(), backend=backend,
+            executor=executor,
+        ).run(state0, 0)
+        assert state_digest(out) == state_digest(state0)

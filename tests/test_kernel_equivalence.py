@@ -1,11 +1,12 @@
 """Kernel-equivalence harness: the fused tier must be a bitwise no-op.
 
-Every backend of the fused kernel tier (compiled C, numba-JITted loops,
-fused numpy) reproduces the reference operators bit for bit — same IEEE
-binary-operation sequence, only the scheduling differs.  These tests pin
-that guarantee at three levels: per-operator against the reference
-workspace implementations, per-trajectory on the serial core, and
-per-trajectory across the thread and process SPMD backends.
+The fused C kernels (the default tier) reproduce the reference operators
+— the oracle — bit for bit: same IEEE binary-operation sequence, only
+the scheduling differs.  These tests pin that guarantee at three levels:
+per-operator against the reference workspace implementations,
+per-trajectory on the serial core, and per-trajectory across the thread
+and process SPMD backends; and they pin the fallback to the reference
+operators when no C compiler resolves.
 """
 from __future__ import annotations
 
@@ -17,17 +18,16 @@ from repro.core.driver import DynamicalCore
 from repro.core.integrator import SerialCore
 from repro.grid.latlon import LatLonGrid
 from repro.kernels import (
-    BACKENDS,
     TIERS,
-    available_backends,
     c_available,
     kernel_set,
-    numba_available,
     plan_cache_stats,
     registered_plans,
-    resolve_backend,
 )
 from repro.physics import balanced_random_state
+from repro.serve import state_digest
+
+needs_c = pytest.mark.skipif(not c_available(), reason="no C compiler on this host")
 
 FIELDS = ("U", "V", "Phi", "psa")
 
@@ -45,13 +45,10 @@ def _assert_states_equal(a, b, context: str) -> None:
         )
 
 
-def _serial_trajectory(grid, s0, tier, backend="auto", nsteps=3, params=None):
-    core = SerialCore(
-        grid,
-        params=params or ModelParameters(),
-        kernel_tier=tier,
-        kernel_backend=backend,
-    )
+def _serial_trajectory(grid, s0, tier=None, nsteps=3, params=None):
+    """``tier=None`` builds the core with its default tier."""
+    kwargs = {} if tier is None else {"kernel_tier": tier}
+    core = SerialCore(grid, params=params or ModelParameters(), **kwargs)
     w = core.pad(s0)
     for _ in range(nsteps):
         w = core.step(w)
@@ -68,31 +65,28 @@ def test_reference_tier_has_no_kernel_set():
 def test_unknown_tier_and_backend_rejected():
     with pytest.raises(ValueError, match="kernel tier"):
         kernel_set("turbo")
-    with pytest.raises(ValueError, match="kernel backend"):
-        resolve_backend("fortran")
+    # the backend is no longer a knob: the fused tier is the C library
+    with pytest.raises(TypeError, match="kernel_backend"):
+        SerialCore(LatLonGrid(nx=16, ny=8, nz=4), kernel_backend="c")
 
 
-def test_available_backends_always_end_in_numpy():
-    backends = available_backends()
-    assert backends[-1] == "numpy"
-    assert set(backends) <= set(BACKENDS)
-    assert "auto" not in backends
+@needs_c
+def test_resolve_auto_prefers_compiled(small_grid):
+    """The default core runs the fused C kernels when the compiler resolves."""
+    core = SerialCore(small_grid)
+    assert core.kernel_tier == "fused"
+    assert core.kernels is not None
+    assert DynamicalCore(small_grid).config.kernel_backend == "c"
+    ref = DynamicalCore(small_grid, kernel_tier="reference")
+    assert ref.config.kernel_backend == "reference"
 
 
-def test_resolve_auto_prefers_compiled():
-    resolved = resolve_backend("auto")
-    assert resolved == available_backends()[0]
-    if c_available():
-        assert resolved == "c"
-
-
+@needs_c
 def test_describe_reports_coverage():
-    ks = kernel_set("fused", backend="numpy")
-    d = ks.describe()
+    d = kernel_set("fused").describe()
     assert d["tier"] == "fused"
-    assert d["backend"] == "numpy"
-    assert d["exact"] is True
-    assert d["coverage"] == ["smoothing"]
+    assert d["backend"] == "c"
+    assert d["coverage"] == ["smoothing", "advection", "adaptation", "vertical"]
 
 
 def test_tiers_tuple_is_the_public_contract():
@@ -102,17 +96,15 @@ def test_tiers_tuple_is_the_public_contract():
 # ---------------------------------------------------------------------------
 # serial trajectories: fused == reference, bit for bit
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["auto", "c", "numba", "numpy"])
+@pytest.mark.parametrize("backend", ["auto", "c"])
 def test_serial_trajectory_bit_identical(backend, small_grid, rng):
-    if backend == "c" and not c_available():
-        pytest.skip("no C compiler on this host")
-    if backend == "numba" and not numba_available():
-        # without numba the same undecorated loops run: still covered
-        pass
+    """``auto``: the default-constructed core; ``c``: fused asked for."""
     s0 = balanced_random_state(small_grid, rng)
     ref = _serial_trajectory(small_grid, s0, "reference")
-    fused = _serial_trajectory(small_grid, s0, "fused", backend=backend)
-    _assert_states_equal(ref, fused, f"serial fused[{backend}]")
+    fused = _serial_trajectory(
+        small_grid, s0, None if backend == "auto" else "fused"
+    )
+    _assert_states_equal(ref, fused, f"serial {backend}")
 
 
 def test_serial_trajectory_with_y_smoothing_and_cross(small_grid, rng):
@@ -130,9 +122,8 @@ def test_fused_plans_registered_and_memoised(small_grid, rng):
     plans = registered_plans()
     assert plans, "fused run registered no kernel plans"
     ops = {p.op for p in plans}
-    assert "smoothing" in ops
     if c_available():
-        assert {"advection", "adaptation", "vertical"} <= ops
+        assert {"smoothing", "advection", "adaptation", "vertical"} <= ops
     stats = plan_cache_stats()
     assert stats["size"] == len(plans)
     assert stats["hits"] > 0, "second step should hit the plan cache"
@@ -179,20 +170,122 @@ def test_ca_algorithm_trajectory_bit_identical(one_iter_params):
     _assert_states_equal(finals["reference"], finals["fused"], "ca algorithm")
 
 
+ALGORITHM_CASES = [
+    ("serial", 1),
+    ("ca", 4),
+    ("original-yz", 4),
+    ("original-xy", 4),
+    ("original-3d", 4),
+]
+
+
+@pytest.mark.parametrize("spmd_backend", ["thread", "process"])
+@pytest.mark.parametrize(
+    "algorithm,nprocs", ALGORITHM_CASES, ids=[a for a, _ in ALGORITHM_CASES]
+)
+def test_default_run_digest_equals_reference(
+    algorithm, nprocs, spmd_backend, one_iter_params
+):
+    """A default-configured run is bit-identical to the reference tier."""
+    grid = LatLonGrid(nx=32, ny=16, nz=8)
+    s0 = balanced_random_state(grid, np.random.default_rng(11))
+    digests = {}
+    for label, kwargs in (("default", {}), ("reference", {"kernel_tier": "reference"})):
+        core = DynamicalCore(
+            grid, algorithm=algorithm, nprocs=nprocs, params=one_iter_params,
+            backend=spmd_backend, **kwargs,
+        )
+        final, _ = core.run(s0, 2)
+        digests[label] = state_digest(final)
+    assert digests["default"] == digests["reference"]
+
+
 # ---------------------------------------------------------------------------
 # graceful fallback
 # ---------------------------------------------------------------------------
-def test_numpy_backend_falls_back_outside_its_coverage(small_grid, rng):
-    """numpy fuses smoothing only; the rest must hit the reference path
-    transparently — the trajectory stays bit-identical either way."""
-    ks = kernel_set("fused", backend="numpy")
-    assert ks.advection(None, None, None, None, None, None) is None
+@pytest.fixture
+def cold_kernel_cache(tmp_path, monkeypatch):
+    """A fresh kernel cache dir and a process that has loaded no library."""
+    from repro.kernels import cbackend, dispatch
+
+    monkeypatch.setenv("REPRO_KERNELS_CACHE", str(tmp_path))
+    monkeypatch.setattr(cbackend, "_LIB", None)
+    monkeypatch.setattr(cbackend, "_LIB_ERROR", None)
+    monkeypatch.setattr(dispatch, "_warned", False)
+    return tmp_path
+
+
+def test_no_compiler_runs_reference_bit_identically(
+    cold_kernel_cache, monkeypatch, small_grid, rng, one_iter_params
+):
+    """Without a compiler the default core is the reference tier, warned
+    about once per process."""
+    import warnings
+
+    from repro.kernels import cbackend
+
+    def no_compiler():
+        raise cbackend.KernelBuildError("no working C compiler: test")
+
+    monkeypatch.setattr(cbackend, "_build_so", no_compiler)
     s0 = balanced_random_state(small_grid, rng)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fallback = _serial_trajectory(small_grid, s0)
+        core = DynamicalCore(
+            small_grid, algorithm="original-yz", nprocs=2, params=one_iter_params
+        )
+        dist, _ = core.run(s0, 1)
     ref = _serial_trajectory(small_grid, s0, "reference")
-    fused = _serial_trajectory(small_grid, s0, "fused", backend="numpy")
-    _assert_states_equal(ref, fused, "numpy-backend fallback")
+    _assert_states_equal(ref, fallback, "no-compiler fallback")
+    ref_dist, _ = DynamicalCore(
+        small_grid, algorithm="original-yz", nprocs=2, params=one_iter_params,
+        kernel_tier="reference",
+    ).run(s0, 1)
+    _assert_states_equal(ref_dist, dist, "no-compiler distributed fallback")
+    unavailable = [
+        w for w in caught
+        if issubclass(w.category, RuntimeWarning)
+        and "fused C kernels unavailable" in str(w.message)
+    ]
+    assert len(unavailable) == 1, [str(w.message) for w in caught]
+    assert core.config.kernel_backend == "reference"
 
 
+@needs_c
+def test_process_ranks_share_one_cold_build(cold_kernel_cache, one_iter_params):
+    """The launcher builds the library before forking: one build, not one
+    per rank."""
+    grid = LatLonGrid(nx=32, ny=16, nz=6)
+    s0 = balanced_random_state(grid, np.random.default_rng(3))
+    core = DynamicalCore(
+        grid, algorithm="original-yz", nprocs=2, params=one_iter_params,
+        backend="process",
+    )
+    core.run(s0, 1)
+    builds = [p for p in cold_kernel_cache.iterdir() if p.is_dir()]
+    assert len(builds) == 1, builds
+    assert len(list(cold_kernel_cache.glob("repro_kernels_*.so"))) == 1
+
+
+@needs_c
+def test_c_falls_back_outside_its_coverage(small_grid, rng):
+    """C fuses only the full-column ``C``: a z-gathered call (a z-split
+    rank) returns ``None``, so the engine runs the reference path — whose
+    results ``test_default_run_digest_equals_reference[original-3d-*]``
+    pins."""
+    core = SerialCore(small_grid)
+    w, eng = core.pad(balanced_random_state(small_grid, rng)), core.engine
+    fields = (w.U, w.V, w.Phi, w.psa, eng.geom)
+    full = core.kernels.vertical(*fields, None, eng.ws, eng._vert_cache)
+    assert full is not None
+    gathered = core.kernels.vertical(
+        *fields, lambda block: block, eng.ws, eng._vert_cache
+    )
+    assert gathered is None
+
+
+@needs_c
 def test_non_contiguous_input_falls_back(small_grid, rng):
     from repro.core.workspace import Workspace
     from repro.operators.smoothing import smoothers_for

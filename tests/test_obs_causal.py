@@ -146,6 +146,44 @@ class TestTraceContext:
         assert s.trace_id == "1" * 16  # already set: not overwritten
         assert s.parent_id == 5
 
+    def test_absorbed_spans_read_back_equal_and_stay_small(self):
+        """Absorbed batches are stored packed; reading them back yields
+        exactly the spans a live-object store would, in the same order."""
+        import dataclasses
+        import tracemalloc
+
+        donor = SpanTracer()
+        for i in range(240):
+            with donor.span("step", "step"):
+                with donor.span("halo-exchange", "comm", {"bytes": 8 * i}):
+                    pass
+        batch = donor.spans
+        host = SpanTracer()
+        with host.span("local", "t"):
+            pass
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for k in range(20):
+                host.absorb(batch, trace_id="f" * 16, parent_id=k + 1)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown / (20 * len(batch)) < 100  # live Span objects: ~440 B
+
+        expected = [s for s in host.spans if s.name == "local"]
+        for k in range(20):
+            expected += [
+                dataclasses.replace(
+                    s, trace_id="f" * 16,
+                    parent_id=k + 1 if s.parent_id == 0 else s.parent_id,
+                )
+                for s in batch
+            ]
+        expected.sort(key=lambda s: (s.t_start, s.rank))
+        assert host.spans == expected
+        assert chrome_trace(spans=host.spans) == chrome_trace(spans=expected)
+
 
 # ---------------------------------------------------------------------------
 # propagation through run_spmd
@@ -217,6 +255,43 @@ class TestServeCausal:
                     cur = by_id[cur.parent_id]
                 assert cur.span_id == jobs[0].span_id, s.name
             assert len({s.pid for s in trace}) >= 2  # supervisor + worker
+        finally:
+            srv.close(drain=False, timeout=20.0)
+
+    def test_driver_span_memory_per_job_is_bounded(self, tmp_path):
+        """The server's tracer keeps every job's spans, packed: its memory
+        grows by tens of KB per job, not by a live object per span."""
+        import tracemalloc
+
+        srv = JobServer(tmp_path / "cache", workers=1,
+                        heartbeat_timeout=10.0)
+        try:
+            if srv.executor != "process":
+                pytest.skip("process executor unavailable")
+
+            def run(i):
+                res = srv.submit(JobSpec(
+                    name=f"mem{i}", algorithm="ca", nprocs=2,
+                    backend="process", ny=32, nsteps=2,
+                    checkpoint_interval=1,
+                )).result(timeout=WAIT)
+                assert res.ok
+
+            run(0)
+            run(1)
+            tracemalloc.start()
+            try:
+                spans0 = len(srv.tracer.spans)
+                before = tracemalloc.get_traced_memory()[0]
+                for i in range(2, 8):
+                    run(i)
+                grown = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            per_job_spans = (len(srv.tracer.spans) - spans0) / 6
+            assert per_job_spans > 200
+            # ~420 spans a job: ~200 KB a job as live Span objects
+            assert grown / 6 < 64_000, grown / 6
         finally:
             srv.close(drain=False, timeout=20.0)
 

@@ -2,12 +2,12 @@
 
 Two claims, checked with hypothesis-drawn fields:
 
-1. *Stage algebra*: fusing the atomic smoothing stages and applying them
-   in one pass equals applying the stages sequentially (the unfused
-   schedule) — to rounding, since the sequential schedule reassociates
-   across stages.
-2. *Exactness*: every fused backend equals the reference operator **bit
-   for bit** — the stronger guarantee the kernel tier ships with.
+1. *Stage algebra*: the C kernel, which fuses the atomic smoothing
+   stages into one pass, equals applying the stages sequentially (the
+   unfused schedule) — to rounding, since the sequential schedule
+   reassociates across stages.
+2. *Exactness*: the C kernel equals the reference operator — the oracle
+   — **bit for bit**, the stronger guarantee the kernel tier ships with.
 
 Both are swept over every stencil-plan shape registered by real fused
 runs (``registered_plans()``), so the shapes the model actually uses are
@@ -20,19 +20,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.constants import ModelParameters
 from repro.core.integrator import SerialCore
 from repro.core.workspace import Workspace
 from repro.grid.latlon import LatLonGrid
-from repro.kernels import available_backends, kernel_set, registered_plans
-from repro.kernels.numba_backend import smooth_full_numba
-from repro.kernels.stages import (
-    apply_stages_sequential,
-    smooth_field_fused_numpy,
-    smoother_stages,
-)
+from repro.kernels import c_available, registered_plans
+from repro.kernels.stages import apply_stages_sequential, smoother_stages
 from repro.operators.smoothing import FieldSmoother
 from repro.physics import balanced_random_state
+
+pytestmark = pytest.mark.skipif(
+    not c_available(), reason="no C compiler on this host"
+)
 
 betas = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -44,15 +42,27 @@ fields = hnp.arrays(
 
 
 def _seed_plans() -> list:
-    """Run a short fused step on every backend so plans are registered."""
+    """Run a short fused step so plans are registered."""
+    if not c_available():
+        return []
     grid = LatLonGrid(nx=16, ny=8, nz=4)
     s0 = balanced_random_state(grid, np.random.default_rng(20180813))
-    for backend in available_backends():
-        core = SerialCore(grid, kernel_tier="fused", kernel_backend=backend)
-        core.step(core.pad(s0))
+    core = SerialCore(grid, kernel_tier="fused")
+    core.step(core.pad(s0))
     plans = registered_plans()
     assert plans
     return plans
+
+
+def _smooth_c(sm: FieldSmoother, a: np.ndarray) -> np.ndarray:
+    from repro.kernels.cbackend import load_library, smooth_full_c
+
+    out = np.empty_like(a)
+    smooth_full_c(
+        load_library(), a, out, np.empty_like(a), sm.beta_x, sm.beta_y,
+        sm.cross,
+    )
+    return out
 
 
 _PLANS = _seed_plans()
@@ -73,49 +83,44 @@ def test_fused_equals_sequential_stages_on_plan_shapes(bx, by, cross, data):
         )
     )
     sm = FieldSmoother(beta_x=bx, beta_y=by, cross=cross)
-    out = np.empty_like(a)
-    smooth_field_fused_numpy(sm, a, out, Workspace())
+    out = _smooth_c(sm, a)
     seq = apply_stages_sequential(sm, a)
     assert np.allclose(out, seq, rtol=1e-12, atol=1e-8)
 
 
 @settings(max_examples=25, deadline=None)
 @given(a=fields, bx=betas, by=betas, cross=st.booleans())
-def test_fused_numpy_bit_identical_to_reference(a, bx, by, cross):
-    sm = FieldSmoother(beta_x=bx, beta_y=by, cross=cross)
-    ref = sm.full_into(a, np.empty_like(a), Workspace())
-    out = np.empty_like(a)
-    smooth_field_fused_numpy(sm, a, out, Workspace())
-    assert np.array_equal(ref, out)
-    assert np.array_equal(np.signbit(ref), np.signbit(out))
-
-
-@settings(max_examples=25, deadline=None)
-@given(a=fields, bx=betas, by=betas, cross=st.booleans())
-def test_loop_backend_bit_identical_to_reference(a, bx, by, cross):
-    """The numba loop body (JITted or not: same code) matches bitwise."""
-    sm = FieldSmoother(beta_x=bx, beta_y=by, cross=cross)
-    ref = sm.full_into(a, np.empty_like(a), Workspace())
-    out = np.empty_like(a)
-    smooth_full_numba(a, out, np.empty_like(a), bx, by, cross)
-    assert np.array_equal(ref, out)
-    assert np.array_equal(np.signbit(ref), np.signbit(out))
-
-
-@pytest.mark.skipif(
-    "c" not in available_backends(), reason="no C compiler on this host"
-)
-@settings(max_examples=15, deadline=None)
-@given(a=fields, bx=betas, by=betas, cross=st.booleans())
 def test_c_backend_bit_identical_to_reference(a, bx, by, cross):
-    from repro.kernels.cbackend import load_library, smooth_full_c
-
     sm = FieldSmoother(beta_x=bx, beta_y=by, cross=cross)
     ref = sm.full_into(a, np.empty_like(a), Workspace())
-    out = np.empty_like(a)
-    smooth_full_c(load_library(), a, out, np.empty_like(a), bx, by, cross)
+    out = _smooth_c(sm, a)
     assert np.array_equal(ref, out)
     assert np.array_equal(np.signbit(ref), np.signbit(out))
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_c_tendencies_bit_identical_to_reference(seed):
+    """``C``, ``A-hat`` and ``L`` from the C kernels equal the oracle."""
+    grid = LatLonGrid(nx=16, ny=8, nz=4)
+    s0 = balanced_random_state(grid, np.random.default_rng(seed))
+    results = {}
+    for tier in ("reference", "fused"):
+        core = SerialCore(grid, kernel_tier=tier)
+        w, eng = core.pad(s0), core.engine
+        vd = eng.vertical(w)
+        got = [
+            np.array(a) for a in (
+                vd.div_p, vd.column_sum, vd.pw_iface, vd.w_iface,
+                vd.sdot_iface, vd.phi_prime, vd.p_fac,
+            )
+        ]
+        got += [np.array(a) for a in eng.adaptation(w, vd).fields().values()]
+        got += [np.array(a) for a in eng.advection(w, vd).fields().values()]
+        results[tier] = got
+    for ref, out in zip(results["reference"], results["fused"]):
+        assert np.array_equal(ref, out)
+        assert np.array_equal(np.signbit(ref), np.signbit(out))
 
 
 def test_every_registered_plan_declares_its_stages():

@@ -10,6 +10,7 @@ from repro.perf.wallclock import (
     bench_transport_overhead,
     case_key,
     compare_reports,
+    kernel_tier_violations,
     load_report,
     transport_overhead_violations,
     write_report,
@@ -77,6 +78,30 @@ class TestTransportOverheadGate:
     def test_other_kinds_ignored(self):
         report = _report([_case(10.0)])
         assert transport_overhead_violations(report) == []
+
+
+class TestKernelTierGate:
+    def _case(self, ref_ms, fused_ms, **extra):
+        return {"kind": "kernel_tiers", "mesh": "medium", "backend": "c",
+                "reference_ms_per_step": ref_ms, "fused_ms_per_step": fused_ms,
+                "bit_identical": True, "gate_min_speedup": 2.0,
+                "gate_enforced": True, **extra}
+
+    def test_same_run_ratio_passes(self):
+        # x2.1 within the run: a slower host's absolute times don't matter
+        report = _report([self._case(210.0, 100.0)])
+        assert kernel_tier_violations(report) == []
+
+    def test_same_run_ratio_below_gate_flagged(self):
+        out = kernel_tier_violations(_report([self._case(150.0, 100.0)]))
+        assert len(out) == 1
+        assert "x1.50 vs the same-run reference" in out[0]
+
+    def test_divergence_flagged_even_when_ungated(self):
+        case = self._case(210.0, 100.0, bit_identical=False,
+                          gate_enforced=False)
+        out = kernel_tier_violations(_report([case]))
+        assert len(out) == 1 and "diverges bitwise" in out[0]
 
 
 class TestReportIO:
