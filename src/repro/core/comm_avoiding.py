@@ -38,10 +38,13 @@ from repro.core.halo import PackPool
 from repro.core.workspace import StateRing
 from repro.obs.spans import span
 from repro.operators.smoothing import (
+    FieldSmoother,
     OFFSETS_L,
     OFFSETS_L_PRIME,
     OFFSETS_R,
     OFFSETS_R_PRIME,
+    smooth_state,
+    smooth_state_into,
     smoothers_for,
 )
 from repro.operators.vertical import VerticalDiagnostics
@@ -53,6 +56,21 @@ TAG_BUNDLE = 30_000
 
 #: strip width of the former/later smoothing split (the smoother radius)
 STRIP = 2
+
+
+def strip_partial(
+    sm: FieldSmoother, a: np.ndarray, r0: int, offsets: tuple[int, ...]
+) -> np.ndarray:
+    """``sm.partial(a, offsets)`` on the ``STRIP`` rows from ``r0`` only.
+
+    Evaluated on the row window ``[r0 - STRIP, r0 + 2 STRIP)``: the
+    y-offsets reach at most ``STRIP`` rows, so the ``np.roll`` wrap of the
+    window never lands on the strip and the result equals the whole-array
+    partial sliced to the strip, bit for bit.  Needs ``r0 >= STRIP`` and
+    ``r0 + 2 STRIP <= a.shape[-2]``.
+    """
+    window = a[..., r0 - STRIP : r0 + 2 * STRIP, :]
+    return sm.partial(window, offsets)[..., STRIP : 2 * STRIP, :]
 
 
 class CommAvoidingRank(RankContext):
@@ -119,24 +137,31 @@ class CommAvoidingRank(RankContext):
         ny_i = self.extent.ny
         self.comm.set_phase(PHASE_STENCIL)
         fields = self._bundle_fields(vd)
+        refreshed: dict[str, slice] = {}
         for req, fi, side in recvs:
             payload = req.wait()
             rows = (
                 slice(gy - wy, gy) if side == "n"
                 else slice(gy + ny_i, gy + ny_i + wy)
             )
+            refreshed[side] = rows
             target = fields[fi][..., rows, :]
             fields[fi][..., rows, :] = payload.reshape(target.shape)
         for req in sends:
             req.wait()
         self.comm.set_phase(None)
-        # rebuild w / sigma-dot on the refreshed rows (cheap: whole array)
+        # rebuild w / sigma-dot on the refreshed rows only; every other row
+        # still holds what the vertical diagnostics computed with this
+        # same formula
         if self.ws is not None:
-            t2 = self.ws.take(vd.p_fac.shape)
-            np.divide(vd.pw_iface, vd.p_fac[None], out=vd.w_iface)
-            np.power(vd.p_fac, 2, out=t2)
-            np.divide(vd.pw_iface, t2[None], out=vd.sdot_iface)
-            self.ws.give(t2)
+            for rows in refreshed.values():
+                p_fac = vd.p_fac[rows]
+                pw = vd.pw_iface[:, rows]
+                t2 = self.ws.take(p_fac.shape)
+                np.divide(pw, p_fac[None], out=vd.w_iface[:, rows])
+                np.power(p_fac, 2, out=t2)
+                np.divide(pw, t2[None], out=vd.sdot_iface[:, rows])
+                self.ws.give(t2)
         else:
             vd.w_iface[...] = vd.pw_iface / vd.p_fac[None]
             vd.sdot_iface[...] = vd.pw_iface / (vd.p_fac[None] ** 2)
@@ -152,18 +177,19 @@ class CommAvoidingRank(RankContext):
 
         Pole-side edges have valid mirror ghosts, so they are smoothed
         fully; only true rank boundaries need the split.  With a workspace
-        an ``out`` state may be supplied; the full smoothing then runs in
-        place in pooled buffers (bit-identical).
+        an ``out`` state may be supplied; the full smoothing then runs
+        through :func:`smooth_state_into` (fused kernels, bit-identical)
+        into ``out``.
         """
         g = self.geom
         gy = g.gy
         ny_i = self.extent.ny
         self.charge(self.cfg.weights.smoothing, self._wpoints)
         if out is not None and self.ws is not None:
-            for name in ("U", "V", "Phi", "psa"):
-                self.smoothers[name].full_into(
-                    getattr(pre, name), getattr(out, name), self.ws
-                )
+            smooth_state_into(
+                pre, self.cfg.params, out, self.ws, self.smoothers,
+                self.kernels,
+            )
         else:
             out = ModelState(
                 U=self.smoothers["U"].full(pre.U),
@@ -181,10 +207,11 @@ class CommAvoidingRank(RankContext):
             a_out = getattr(out, name)
             if north_strip:
                 rows = slice(gy, gy + STRIP)
-                a_out[..., rows, :] = sm.partial(a_pre, OFFSETS_R)[..., rows, :]
+                a_out[..., rows, :] = strip_partial(sm, a_pre, gy, OFFSETS_R)
             if south_strip:
-                rows = slice(gy + ny_i - STRIP, gy + ny_i)
-                a_out[..., rows, :] = sm.partial(a_pre, OFFSETS_L)[..., rows, :]
+                r0 = gy + ny_i - STRIP
+                rows = slice(r0, r0 + STRIP)
+                a_out[..., rows, :] = strip_partial(sm, a_pre, r0, OFFSETS_L)
         return out
 
     def later_smoothing(self, smoothed: ModelState, pre: ModelState) -> None:
@@ -201,6 +228,14 @@ class CommAvoidingRank(RankContext):
         )
         north_strip = not g.touches_north
         south_strip = not g.touches_south
+        # full smoothing of pre, for the received halo rows / levels
+        if self.ws is not None:
+            full = smooth_state_into(
+                pre, self.cfg.params, self.ws.take_state(g.shape3d), self.ws,
+                self.smoothers, self.kernels,
+            )
+        else:
+            full = None
         for name in ("U", "V", "Phi", "psa"):
             sm = self.smoothers[name]
             a_pre = getattr(pre, name)
@@ -208,31 +243,27 @@ class CommAvoidingRank(RankContext):
             if sm.has_y_stencil:
                 if north_strip:
                     rows = slice(gy, gy + STRIP)
-                    a_out[..., rows, :] += sm.partial(a_pre, OFFSETS_R_PRIME)[
-                        ..., rows, :
-                    ]
+                    a_out[..., rows, :] += strip_partial(
+                        sm, a_pre, gy, OFFSETS_R_PRIME
+                    )
                 if south_strip:
-                    rows = slice(gy + ny_i - STRIP, gy + ny_i)
-                    a_out[..., rows, :] += sm.partial(a_pre, OFFSETS_L_PRIME)[
-                        ..., rows, :
-                    ]
-            # full smoothing of the received halo rows / levels
-            if self.ws is not None:
-                full = self.ws.take(a_pre.shape)
-                sm.full_into(a_pre, full, self.ws)
-            else:
-                full = sm.full(a_pre)
+                    r0 = gy + ny_i - STRIP
+                    rows = slice(r0, r0 + STRIP)
+                    a_out[..., rows, :] += strip_partial(
+                        sm, a_pre, r0, OFFSETS_L_PRIME
+                    )
+            a_full = getattr(full, name) if full is not None else sm.full(a_pre)
             if north_strip:
-                a_out[..., :gy, :] = full[..., :gy, :]
+                a_out[..., :gy, :] = a_full[..., :gy, :]
             if south_strip:
-                a_out[..., gy + ny_i:, :] = full[..., gy + ny_i:, :]
+                a_out[..., gy + ny_i:, :] = a_full[..., gy + ny_i:, :]
             if a_pre.ndim == 3 and gz > 0:
                 if not g.touches_top:
-                    a_out[:gz] = full[:gz]
+                    a_out[:gz] = a_full[:gz]
                 if not g.touches_bottom:
-                    a_out[nz_i + gz:] = full[nz_i + gz:]
-            if self.ws is not None:
-                self.ws.give(full)
+                    a_out[nz_i + gz:] = a_full[nz_i + gz:]
+        if full is not None:
+            self.ws.give_state(full)
 
     # ------------------------------------------------------------------
     # overlap helper: charge the inner-block compute before the wait
@@ -454,8 +485,6 @@ def ca_rank_program(
             comm.set_phase(None)
             ctx.fill_bc(xi_pre)
         ctx.charge(cfg.weights.smoothing, ctx._wpoints)
-        from repro.operators.smoothing import smooth_state, smooth_state_into
-
         if ring is not None:
             out = smooth_state_into(
                 xi_pre, params, ring.scratch(xi_pre), ctx.ws, ctx.smoothers,

@@ -10,12 +10,15 @@ operators when no C compiler resolves.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.constants import ModelParameters
 from repro.core.driver import DynamicalCore
 from repro.core.integrator import SerialCore
+from repro.grid.decomposition import Decomposition
 from repro.grid.latlon import LatLonGrid
 from repro.kernels import (
     TIERS,
@@ -170,30 +173,43 @@ def test_ca_algorithm_trajectory_bit_identical(one_iter_params):
     _assert_states_equal(finals["reference"], finals["fused"], "ca algorithm")
 
 
+#: (id, algorithm, nprocs, decomposition (px, py, pz) or None = the
+#: algorithm's default, grid ny, m_iterations)
 ALGORITHM_CASES = [
-    ("serial", 1),
-    ("ca", 4),
-    ("original-yz", 4),
-    ("original-xy", 4),
-    ("original-3d", 4),
+    ("serial", "serial", 1, None, 16, 1),
+    ("ca", "ca", 4, None, 16, 1),
+    ("original-yz", "original-yz", 4, None, 16, 1),
+    ("original-xy", "original-xy", 4, None, 16, 1),
+    ("original-3d", "original-3d", 4, None, 16, 1),
+    # z-split CA (gz > 0): the later smoothing copies smoothed z-ghost levels
+    ("ca-z-split", "ca", 4, (1, 2, 2), 16, 1),
+    # the default M = 3: the widest CA halo (gy = 11) around the strips
+    ("ca-m3", "ca", 2, None, 32, 3),
 ]
 
 
 @pytest.mark.parametrize("spmd_backend", ["thread", "process"])
 @pytest.mark.parametrize(
-    "algorithm,nprocs", ALGORITHM_CASES, ids=[a for a, _ in ALGORITHM_CASES]
+    "algorithm,nprocs,shape,ny,m_iterations",
+    [case[1:] for case in ALGORITHM_CASES],
+    ids=[case[0] for case in ALGORITHM_CASES],
 )
 def test_default_run_digest_equals_reference(
-    algorithm, nprocs, spmd_backend, one_iter_params
+    algorithm, nprocs, shape, ny, m_iterations, spmd_backend, one_iter_params
 ):
     """A default-configured run is bit-identical to the reference tier."""
-    grid = LatLonGrid(nx=32, ny=16, nz=8)
+    grid = LatLonGrid(nx=32, ny=ny, nz=8)
+    params = replace(one_iter_params, m_iterations=m_iterations)
+    decomp = (
+        Decomposition(grid.nx, grid.ny, grid.nz, *shape)
+        if shape is not None else None
+    )
     s0 = balanced_random_state(grid, np.random.default_rng(11))
     digests = {}
     for label, kwargs in (("default", {}), ("reference", {"kernel_tier": "reference"})):
         core = DynamicalCore(
-            grid, algorithm=algorithm, nprocs=nprocs, params=one_iter_params,
-            backend=spmd_backend, **kwargs,
+            grid, algorithm=algorithm, nprocs=nprocs, params=params,
+            decomp=decomp, backend=spmd_backend, **kwargs,
         )
         final, _ = core.run(s0, 2)
         digests[label] = state_digest(final)
